@@ -398,7 +398,7 @@ func BenchmarkMultiUEServer4Sessions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv, err := transport.NewBSServer(transport.ServerConfig{
-			MaxUE: nUE, Sched: transport.SchedAsync,
+			MaxUE: nUE,
 			Steps: 10, EvalEvery: 5, ValAnchors: 16,
 			Provision: multiUESessionEnv,
 		})
@@ -602,7 +602,7 @@ func BenchmarkMultiUEWireBytesPerCodec(b *testing.B) {
 			var bytesIn int64
 			for i := 0; i < b.N; i++ {
 				srv, err := transport.NewBSServer(transport.ServerConfig{
-					MaxUE: 2, Sched: transport.SchedAsync,
+					MaxUE: 2,
 					Steps: 10, EvalEvery: 5, ValAnchors: 16,
 					Provision: multiUESessionEnv,
 				})

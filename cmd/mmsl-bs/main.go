@@ -11,10 +11,10 @@
 //     opening its own session with the hello/ack handshake. Sessions get
 //     independent datasets, model halves and optimiser state derived from
 //     the seed each UE announces, and each negotiates its own cut-layer
-//     payload codec; -sched selects whether sessions train fully in
-//     parallel (async) or take turns (rr).
+//     payload codec; -batch-window lets concurrent clone sessions share
+//     one batched BS-half computation per round.
 //
-//     mmsl-bs -listen :9920 -max-ue 8 -sched async -steps 200
+//     mmsl-bs -listen :9920 -max-ue 8 -steps 200
 //     mmsl-ue -connect localhost:9920 -session ue1 -seed 1
 //     mmsl-ue -connect localhost:9920 -session ue2 -seed 2
 //
@@ -55,7 +55,6 @@ func main() {
 	connect := flag.String("connect", "", "single-UE mode: UE address to dial (e.g. localhost:9910)")
 	listen := flag.String("listen", "", "multi-UE mode: address to accept UE sessions on (e.g. :9920)")
 	maxUE := flag.Int("max-ue", 8, "multi-UE mode: concurrent session cap")
-	sched := flag.String("sched", "async", "multi-UE mode: scheduling policy (async or rr)")
 	frames := flag.Int("frames", 2400, "single-UE mode: synthetic dataset length (must match the UE)")
 	seed := flag.Int64("seed", 1, "single-UE mode: shared experiment seed (must match the UE)")
 	pool := flag.Int("pool", 40, "single-UE mode: square pooling size (must match the UE)")
@@ -71,20 +70,13 @@ func main() {
 	journalCompact := flag.Int64("journal-compact-bytes", 64<<20, "multi-UE mode: journal size that arms compaction (with -store journal)")
 	retain := flag.Int("retain", 128, "multi-UE mode: finished-session snapshots kept for reporting")
 	workers := flag.Int("workers", 0, "tensor worker-pool size for parallel kernels (0 = min(GOMAXPROCS, 8); results are identical for any value)")
-	batchWindow := flag.Duration("batch-window", 0, "multi-UE mode: pipelined serving with cross-session compute batching; rounds arriving within this window coalesce (0 = serial serving; results are bit-identical either way)")
-	batchMax := flag.Int("batch-max", 16, "multi-UE mode: max rounds coalesced into one compute dispatch")
+	batchWindow := flag.Duration("batch-window", 0, "multi-UE mode: cross-session compute batching; rounds arriving within this window coalesce (0 = no coalescing; results are bit-identical either way)")
+	batchMax := flag.Int("batch-max", 16, "multi-UE mode: max rounds coalesced into one compute flush")
 	replicaID := flag.String("replica-id", "", "multi-UE mode: stable replica identity in a coordinated fleet (the mmsl_replica_info{id} label and mmsl-coord member name; empty = bs-0)")
 	adminAddr := flag.String("admin", "", "serve the control plane on this address: /metrics, session admin, live /config, /debug/pprof/ (e.g. localhost:6060; empty = off)")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -admin (the old standalone pprof listener is folded into the admin mux)")
 	flag.Parse()
 	if *workers != 0 {
 		tensor.SetWorkers(*workers)
-	}
-	if *pprofAddr != "" {
-		log.Printf("mmsl-bs: -pprof is deprecated; use -admin (serving pprof under the admin mux on %s)", *pprofAddr)
-		if *adminAddr == "" {
-			*adminAddr = *pprofAddr
-		}
 	}
 
 	codec, err := compress.Parse(*codecName)
@@ -101,7 +93,7 @@ func main() {
 			TargetRMSEdB: *target, IdleTimeout: *idleTimeout,
 			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Retain: *retain,
 			BatchWindow: *batchWindow, BatchMax: *batchMax,
-		}, *sched, *storeKind, *journalCompact)
+		}, *storeKind, *journalCompact)
 	case *connect != "":
 		serveAdmin(*adminAddr, nil, nil)
 		runSingleUE(*connect, *frames, *seed, *pool, codec, *steps, *evalEvery, *valAnchors, *target)
@@ -171,12 +163,7 @@ func openStore(kind, ckptDir string, retain int, compactBytes int64) store.Store
 
 // serveMultiUE runs the concurrent base station until the listener dies
 // or a termination signal triggers the graceful drain.
-func serveMultiUE(addr, adminAddr string, cfg transport.ServerConfig, sched, storeKind string, journalCompact int64) {
-	policy, err := transport.ParseSchedPolicy(sched)
-	if err != nil {
-		log.Fatalf("mmsl-bs: %v", err)
-	}
-	cfg.Sched = policy
+func serveMultiUE(addr, adminAddr string, cfg transport.ServerConfig, storeKind string, journalCompact int64) {
 	cfg.Logf = log.Printf
 	cfg.Store = openStore(storeKind, cfg.CheckpointDir, cfg.Retain, journalCompact)
 	srv, err := transport.NewBSServer(cfg)
@@ -196,8 +183,8 @@ func serveMultiUE(addr, adminAddr string, cfg transport.ServerConfig, sched, sto
 		log.Fatalf("mmsl-bs: listen: %v", err)
 	}
 	defer ln.Close()
-	fmt.Printf("mmsl-bs: serving up to %d UEs on %s (%v scheduling, %d steps/session)\n",
-		cfg.MaxUE, ln.Addr(), policy, cfg.Steps)
+	fmt.Printf("mmsl-bs: serving up to %d UEs on %s (%d steps/session)\n",
+		cfg.MaxUE, ln.Addr(), cfg.Steps)
 
 	// SIGTERM/SIGINT → graceful drain: stop accepting, checkpoint every
 	// live session at its next step boundary, detach the UEs cleanly.

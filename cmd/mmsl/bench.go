@@ -202,7 +202,7 @@ func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "write results as JSON")
 	out := fs.String("out", "BENCH.json", "output path for -json")
-	serve := fs.Bool("serve", false, "run the BS saturation benchmark (serial vs batched serving)")
+	serve := fs.Bool("serve", false, "run the BS saturation benchmark (no coalescing window vs batching window)")
 	ues := fs.Int("ue", 16, "-serve: concurrent UE sessions")
 	serveSteps := fs.Int("serve-steps", 24, "-serve: training steps per session")
 	serveFrames := fs.Int("serve-frames", 400, "-serve: synthetic dataset length")

@@ -14,10 +14,10 @@ import (
 // The base-station saturation benchmark (`mmsl bench -serve -ue N`):
 // aggregate steps/sec at the BS — not single-session step latency — is
 // what bounds how many UEs one server can train, so this harness drives
-// N concurrent sessions against an in-process BSServer twice, once
-// through the serial PR-4 serving path and once through the pipelined/
-// batched path, and reports aggregate steps/sec, wire bytes/sec and
-// p50/p99 round latency for both.
+// N concurrent sessions against an in-process BSServer twice, once with
+// no coalescing window ("serial": every round computes on arrival) and
+// once with the batching window, and reports aggregate steps/sec, wire
+// bytes/sec and p50/p99 round latency for both.
 //
 // The UEs are fleet replay load generators (internal/fleet/replay.go):
 // one real UE session is recorded per seed, and each benchmark UE
@@ -53,7 +53,7 @@ func runServePath(batched bool, ues, steps int, window time.Duration,
 	seeds []int64, frames uint32, traj map[int64][][]byte, prov transport.Provision) (serveResult, error) {
 
 	scfg := transport.ServerConfig{
-		MaxUE: ues, Sched: transport.SchedAsync, Steps: steps,
+		MaxUE: ues, Steps: steps,
 		EvalEvery: 1 << 30, ValAnchors: 16,
 		Provision: fleet.GateProvision(ues, prov),
 	}

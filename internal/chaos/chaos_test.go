@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -175,5 +176,41 @@ func TestStallDelaysProbe(t *testing.T) {
 	}
 	if err := rep.Probe(); err != nil {
 		t.Fatalf("post-stall probe: %v", err)
+	}
+}
+
+// TestKillRejoinNoGoroutineLeak: a killed incarnation is never closed —
+// a crashed process gets no shutdown — so a server must hold no
+// goroutine of its own beyond its sessions. Ten kill/rejoin cycles of a
+// replica with a coalescing window leave the goroutine count where it
+// started.
+func TestKillRejoinNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rep, err := chaos.New(chaos.Config{
+		Make: func(st store.Store) (*transport.BSServer, error) {
+			return transport.NewBSServer(transport.ServerConfig{
+				ReplicaID: "bs-leak", MaxUE: 4, Steps: 8,
+				BatchWindow: 2 * time.Millisecond,
+				Store:       st, Logf: t.Logf,
+			})
+		},
+		Store: store.NewMem(16),
+		Logf:  t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		rep.Kill(false)
+		if err := rep.Rejoin(); err != nil {
+			t.Fatalf("cycle %d: rejoin: %v", i, err)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("goroutines %d after 10 kill/rejoin cycles, baseline %d", n, base)
 	}
 }

@@ -39,8 +39,7 @@ type Options struct {
 	// config change); nil discards.
 	Logf func(format string, args ...any)
 
-	// Pprof mounts net/http/pprof under /debug/pprof/ — the -admin
-	// replacement for the old standalone -pprof listener.
+	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 
 	// OnDrain, when set, runs after BSServer.Drain on POST /drain —

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +58,11 @@ func tinyHello(i int) transport.Hello {
 
 // runSessionErr trains one UE to clean detach against srv.
 func runSessionErr(srv *transport.BSServer, i int) error {
-	h := tinyHello(i)
+	return runHelloErr(srv, tinyHello(i))
+}
+
+// runHelloErr trains the UE that h describes to clean detach against srv.
+func runHelloErr(srv *transport.BSServer, h transport.Hello) error {
 	cfg, d, _, err := tinyEnv(h)
 	if err != nil {
 		return err
@@ -67,10 +72,10 @@ func runSessionErr(srv *transport.BSServer, i int) error {
 	done := make(chan error, 1)
 	go func() { done <- srv.Handle(bsConn) }()
 	if err := transport.ServeUE(ueConn, h, cfg, d); err != nil {
-		return fmt.Errorf("session %d: UE: %w", i, err)
+		return fmt.Errorf("session %s: UE: %w", h.SessionID, err)
 	}
 	if err := <-done; err != nil {
-		return fmt.Errorf("session %d: BS: %w", i, err)
+		return fmt.Errorf("session %s: BS: %w", h.SessionID, err)
 	}
 	return nil
 }
@@ -275,8 +280,24 @@ func TestHealthzAndNilBS(t *testing.T) {
 	}
 }
 
+// gatedEnv wraps tinyEnv so no session is provisioned until n
+// handshakes are in flight: the sessions start their rounds together.
+func gatedEnv(n int) transport.Provision {
+	gate := make(chan struct{})
+	var joined atomic.Int32
+	return func(h transport.Hello) (split.Config, *dataset.Dataset, *dataset.Split, error) {
+		if joined.Add(1) == int32(n) {
+			close(gate)
+		}
+		<-gate
+		return tinyEnv(h)
+	}
+}
+
 func TestConfigRoundTrip(t *testing.T) {
-	srv := testServer(t, transport.ServerConfig{MaxUE: 4})
+	srv := testServer(t, transport.ServerConfig{
+		MaxUE: 4, Steps: 12, EvalEvery: 6, ValAnchors: 8, Provision: gatedEnv(2),
+	})
 	c := New(srv, Options{})
 
 	rec := do(t, c, "GET", "/config", "")
@@ -313,7 +334,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		{`{"idle_timeout": "soon"}`, http.StatusBadRequest},
 		{`{"default_codec": "gzip"}`, http.StatusBadRequest},
 		{`{"unknown_field": 1}`, http.StatusBadRequest},
-		{`{"batch_window": "5ms"}`, http.StatusUnprocessableEntity}, // serial boot: pipelining is boot-only
 		{`not json`, http.StatusBadRequest},
 	} {
 		rec := do(t, c, "PUT", "/config", bad.body)
@@ -323,6 +343,37 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	if srv.CurrentPolicy() != p {
 		t.Fatalf("rejected PUTs mutated the policy: %+v", srv.CurrentPolicy())
+	}
+
+	// Every policy field is live: coalescing switched on by PUT on a
+	// server booted without it makes clone sessions share their rounds.
+	rec = do(t, c, "PUT", "/config", `{"batch_window": "200ms"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("PUT batch_window on a window-0 server: %d %s", rec.Code, rec.Body.String())
+	}
+	if w := srv.CurrentPolicy().BatchWindow; w != 200*time.Millisecond {
+		t.Fatalf("BatchWindow after PUT = %v", w)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, id := range []string{"clone-a", "clone-b"} {
+		h := tinyHello(7)
+		h.SessionID = id
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- runHelloErr(srv, h)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if srv.SharedRounds() == 0 {
+		t.Fatal("clone sessions shared no rounds after batch_window was switched on")
 	}
 }
 

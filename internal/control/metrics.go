@@ -88,7 +88,7 @@ func collectBS(c *collector, bs *transport.BSServer, extra string) {
 	wire.addInt(st.BytesInTotal, lbl("direction", "in"), extra)
 	wire.addInt(st.BytesOutTotal, lbl("direction", "out"), extra)
 
-	gauge("mmsl_compute_queue_depth", "Rounds inside the compute stage right now (0 without the pipelined path).", float64(st.QueueDepth))
+	gauge("mmsl_compute_queue_depth", "Rounds inside the compute stage right now, pending or computing.", float64(st.QueueDepth))
 	gauge("mmsl_compute_queue_peak", "High-water mark of the compute queue since the previous scrape.", float64(bs.TakeBatchQueuePeak()))
 
 	// Durable-store health (internal/store; DESIGN.md §11).
@@ -112,7 +112,7 @@ func collectBS(c *collector, bs *transport.BSServer, extra string) {
 	gauge("mmsl_policy_max_ue", "Current policy: concurrent session cap.", float64(pol.MaxUE))
 	gauge("mmsl_policy_idle_timeout_seconds", "Current policy: per-operation I/O stall budget (0: disabled).", pol.IdleTimeout.Seconds())
 	gauge("mmsl_policy_batch_window_seconds", "Current policy: round-coalescing window (0: no coalescing).", pol.BatchWindow.Seconds())
-	gauge("mmsl_policy_batch_max", "Current policy: rounds coalesced per dispatch at most.", float64(pol.BatchMax))
+	gauge("mmsl_policy_batch_max", "Current policy: rounds coalesced per flush at most.", float64(pol.BatchMax))
 	gauge("mmsl_policy_checkpoint_every", "Current policy: checkpoint interval in training steps.", float64(pol.CheckpointEvery))
 }
 

@@ -136,7 +136,7 @@ type Spec struct {
 	ChurnFraction float64
 
 	BatchWindow time.Duration // batched-path coalescing window (≤0: 2ms)
-	BatchMax    int           // rounds per dispatch (≤0: 16)
+	BatchMax    int           // rounds per flush (≤0: 16)
 	IdleTimeout time.Duration // server idle eviction (≤0: 500ms)
 	Checkpoint  bool          // enable checkpoint/resume (flapping UEs resume)
 	Retain      int           // finished-snapshot retention ring (≤0: 128)

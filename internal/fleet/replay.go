@@ -74,16 +74,18 @@ func (t *frameTap) Write(p []byte) (int, error) {
 	return t.inner.Write(p)
 }
 
-// RecordTrajectory runs one real UE session against a serial server and
-// captures the UE→BS activation frames in order.
+// RecordTrajectory runs one real UE session against a single-session
+// server with no coalescing window and captures the UE→BS activation
+// frames in order.
 func RecordTrajectory(prov transport.Provision, h transport.Hello, steps int) ([][]byte, error) {
 	srv, err := transport.NewBSServer(transport.ServerConfig{
-		MaxUE: 1, Sched: transport.SchedAsync, Steps: steps,
+		MaxUE: 1, Steps: steps,
 		EvalEvery: 1 << 30, ValAnchors: 16, Provision: prov,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer srv.Close()
 	cfg, d, _, err := prov(h)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,22 +11,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// The pipelined serving path. With ServerConfig.BatchWindow set, a
-// session round no longer runs its whole read→decode→compute→encode→
-// write cycle inline on the session goroutine: the session goroutine
-// keeps the blocking network I/O (reads and writes), while payload
-// decoding, model compute and reply encoding run on shared stage worker
-// pools. Network I/O for session A therefore overlaps compute for
-// session B even when both would otherwise serialise, and the number of
-// concurrently computing rounds is bounded by the worker pool instead
-// of the session count. Per-session ordering is structural: the
-// lock-step protocol admits at most one in-flight round per session.
+// The compute stage. Every server round reads and decodes its
+// activations and writes its cut gradient on its own session goroutine
+// (BSPeer.round); only the BS-half mathematics in between passes
+// through the hub. The hub owns no goroutines: an arriving round joins
+// a mutex-guarded pending list, and either flushes that list itself or
+// parks until another arrival or the window timer does. A flush groups
+// the pending rounds by model-state key and hands each group to its
+// representative, whose session goroutine runs the group's computation:
+// a flushing arrival leads its own group, and every other
+// representative is parked in compute anyway. Per-session ordering is
+// structural: the lock-step protocol admits at most one in-flight round
+// per session.
 //
-// The compute stage is where cross-session micro-batching happens. A
-// dispatcher coalesces rounds arriving within BatchWindow (or until
-// min(BatchMax, live sessions) rounds are pending — a full batch never
-// waits out the window) and groups them by model-state key. Sessions in
-// one group whose parameters and round inputs are *proven* bit-identical
+// Coalescing is cross-session micro-batching. A flush fires when
+// min(BatchMax, live sessions) rounds are pending or when BatchWindow
+// since the first pending round expires, whichever is first; a window
+// of 0 flushes every round on arrival (no coalescing). Sessions in one
+// group whose parameters and round inputs are *proven* bit-identical
 // (compared, never assumed) execute as one forward/backward through the
 // group representative's model half; the resulting loss, parameter
 // gradients and cut-layer gradient rows are then scattered to every
@@ -51,49 +51,38 @@ type batchKey struct {
 	trained int
 }
 
-// roundTask carries one session round through the pipeline stages. Each
+// roundTask carries one session round through the compute stage. Each
 // peer owns exactly one, reused round after round.
 type roundTask struct {
-	peer *BSPeer
-
-	// decode stage in/out
-	hdr     FrameHeader
-	payload []byte
+	peer    *BSPeer
 	pooled  *tensor.Tensor
-
-	// compute stage in/out
 	anchors []int32
 	key     batchKey
 	shared  bool // scratch for runGroup's partition
 	loss    float64
 	cut     *tensor.Tensor
 
-	// encode stage in
-	outMsg Message
-
-	err  error
-	done chan struct{} // capacity 1; one signal per stage submission
+	// group is non-empty only while this task is the representative
+	// of a flushed group its goroutine has yet to run; its backing
+	// array is reused round after round.
+	group []*roundTask
+	done  chan struct{} // capacity 1; one signal per round
 }
 
-// computeHub owns the stage worker pools of one BSServer.
+// computeHub is the coalescing compute stage of one BSServer.
 type computeHub struct {
-	// pol resolves the server's current Policy; the dispatcher reads the
-	// coalescing window and batch cap through it at every decision point
-	// (arming the window timer, sizing the early-dispatch target), so a
-	// PUT /config swap takes effect at the next round boundary without
-	// touching rounds already pending. It never affects computed values:
-	// the window only decides *when* rounds coalesce, and invariant 8
-	// pins batched results bit-identical to solo for any grouping.
+	// pol resolves the server's current Policy; every arrival reads the
+	// coalescing window and batch cap through it, so a PUT /config swap
+	// takes effect at the next round without touching rounds already
+	// pending. It never affects computed values: the window only decides
+	// *when* rounds coalesce, and invariant 8 pins batched results
+	// bit-identical to solo for any grouping.
 	pol   func() Policy
-	store *sessionStore // live-count hint for early dispatch
+	store *sessionStore // live-count hint for early flush
 
-	decodeq  chan *roundTask
-	computeq chan *roundTask
-	encodeq  chan *roundTask
-	execq    chan []*roundTask
-
-	stopc    chan struct{}
-	stopOnce sync.Once
+	mu      sync.Mutex
+	pending []*roundTask
+	timer   *time.Timer // the armed window; nil when none
 
 	// sharedRounds counts rounds served by a clone group's shared
 	// computation instead of their own — the dedup win the saturation
@@ -101,211 +90,101 @@ type computeHub struct {
 	sharedRounds atomic.Int64
 
 	// queue tracks the rounds inside the compute stage — submitted and
-	// not yet answered, whether coalescing in the dispatcher or
-	// executing in a group. Its peak is the backlog number the fleet
-	// soak reports (BSServer.BatchQueueDepth).
+	// not yet answered, whether pending or executing in a group. Its
+	// peak is the backlog number the fleet soak reports
+	// (BSServer.BatchQueueDepth).
 	queue metrics.Gauge
 }
 
-// newComputeHub starts the stage workers: one decode and one encode
-// worker per two procs, one compute worker per proc, plus the
-// coalescing dispatcher.
 func newComputeHub(pol func() Policy, store *sessionStore) *computeHub {
-	procs := runtime.GOMAXPROCS(0)
-	h := &computeHub{
-		pol:      pol,
-		store:    store,
-		decodeq:  make(chan *roundTask, 64),
-		computeq: make(chan *roundTask, 64),
-		encodeq:  make(chan *roundTask, 64),
-		execq:    make(chan []*roundTask, 64),
-		stopc:    make(chan struct{}),
-	}
-	side := (procs + 1) / 2
-	for i := 0; i < side; i++ {
-		go h.decodeWorker()
-		go h.encodeWorker()
-	}
-	for i := 0; i < procs; i++ {
-		go h.computeWorker()
-	}
-	go h.dispatch()
-	return h
+	return &computeHub{pol: pol, store: store}
 }
 
-// stop terminates the stage workers. Callers must ensure no round is in
-// flight (BSServer.Close after Wait).
-func (h *computeHub) stop() {
-	h.stopOnce.Do(func() { close(h.stopc) })
-}
-
-// step drives one pipelined training round for a session. It runs on
-// the session's goroutine, which performs the I/O; decode, compute and
-// encode are submitted to the stage workers.
-func (h *computeHub) step(peer *BSPeer) (float64, error) {
+// compute runs one round's BS-half step through the stage and returns
+// its loss and cut gradient (arena-owned, as for BSPeer.computeStep). It
+// blocks on the calling session goroutine until the round's group has
+// run — on this goroutine when the round is its group's representative.
+func (h *computeHub) compute(peer *BSPeer, anchors []int32, pooled *tensor.Tensor) (float64, *tensor.Tensor) {
 	t := peer.task
 	if t == nil {
 		t = &roundTask{peer: peer, done: make(chan struct{}, 1)}
 		peer.task = t
 	}
-	t.pooled, t.cut, t.err = nil, nil, nil
-	t.anchors = peer.nextAnchors()
-
-	if peer.Cfg.Modality.UsesImages() {
-		if err := peer.sendRequest(MsgBatchRequest, t.anchors); err != nil {
-			return 0, err
-		}
-		hdr, payload, err := peer.fr.ReadFrame()
-		if err != nil {
-			return 0, fmt.Errorf("transport: BS read: %w", err)
-		}
-		t.hdr, t.payload = hdr, payload
-		h.decodeq <- t
-		<-t.done
-		if t.err != nil {
-			return 0, t.err
-		}
-	}
-
+	t.anchors, t.pooled = anchors, pooled
 	t.key = batchKey{fp: peer.fp, trained: peer.trained}
 	h.queue.Add(1)
-	h.computeq <- t
+	defer h.queue.Add(-1)
+
+	// The window and batch cap are policy-resolved per arrival, so a
+	// live reconfiguration binds from the next round on.
+	p := h.pol()
+	h.mu.Lock()
+	h.pending = append(h.pending, t)
+	if p.BatchWindow <= 0 || len(h.pending) >= max(1, min(p.BatchMax, h.store.liveCount())) {
+		// The arriving round leads its own group: it is running
+		// already, so its group computes without a goroutine hand-off.
+		last := len(h.pending) - 1
+		h.pending[0], h.pending[last] = h.pending[last], h.pending[0]
+		h.flushLocked()
+	} else if h.timer == nil {
+		var tm *time.Timer
+		tm = time.AfterFunc(p.BatchWindow, func() {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if h.timer == tm { // not already flushed by an arrival
+				h.flushLocked()
+			}
+		})
+		h.timer = tm
+	}
+	h.mu.Unlock()
+
 	<-t.done
-	h.queue.Add(-1)
-	if t.err != nil {
-		return 0, t.err
+	if len(t.group) > 0 {
+		h.sharedRounds.Add(runGroup(t.group))
+		clear(t.group)
+		t.group = t.group[:0]
 	}
-	loss := t.loss
-
-	if t.cut != nil {
-		t.outMsg = Message{Type: MsgCutGradient, Step: peer.step, Tensor: t.cut, Codec: peer.Cfg.Codec}
-		h.encodeq <- t
-		<-t.done
-		if t.err != nil {
-			return 0, t.err
-		}
-		if err := peer.fw.Flush(); err != nil {
-			return 0, fmt.Errorf("transport: BS write gradient: %w", err)
-		}
-	}
-	return loss, nil
+	return t.loss, t.cut
 }
 
-func (h *computeHub) decodeWorker() {
-	for {
-		select {
-		case t := <-h.decodeq:
-			m, err := t.peer.fr.Decode(t.hdr, t.payload)
-			if err != nil {
-				t.err = fmt.Errorf("transport: BS read: %w", err)
+// flushLocked partitions every pending round into same-key groups, each
+// led by its first round in pending order, and wakes each group's
+// representative to run it. Draining *all* pending groups on every
+// flush is what bounds any round's wait to one window, whatever the
+// arrival pattern (see batcher_starvation_test.go).
+func (h *computeHub) flushLocked() {
+	if h.timer != nil {
+		h.timer.Stop()
+		h.timer = nil
+	}
+	pending := h.pending
+	for len(pending) > 0 {
+		rep := pending[0]
+		rep.group = append(rep.group[:0], rep)
+		rest := pending[:0]
+		for _, t := range pending[1:] {
+			if t.key == rep.key {
+				rep.group = append(rep.group, t)
 			} else {
-				t.pooled, t.err = t.peer.checkActivations(m)
+				rest = append(rest, t)
 			}
-			t.done <- struct{}{}
-		case <-h.stopc:
-			return
 		}
+		pending = rest
+		rep.done <- struct{}{}
 	}
+	clear(h.pending)
+	h.pending = h.pending[:0]
 }
 
-func (h *computeHub) encodeWorker() {
-	for {
-		select {
-		case t := <-h.encodeq:
-			t.err = t.peer.fw.Encode(&t.outMsg, t.peer.Ver)
-			t.done <- struct{}{}
-		case <-h.stopc:
-			return
-		}
-	}
-}
-
-// dispatch coalesces compute submissions into batches: a batch fires
-// when min(BatchMax, live sessions) rounds are pending or when the
-// window since the first pending round expires, whichever is first. The
-// window is also the resynchronisation mechanism — a session whose
-// round finished late rejoins its clone group as long as its skew stays
-// under the window.
-func (h *computeHub) dispatch() {
-	var pending []*roundTask
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	disarm := func() {
-		if armed && !timer.Stop() {
-			<-timer.C
-		}
-		armed = false
-	}
-	flush := func() {
-		for len(pending) > 0 {
-			key := pending[0].key
-			group := make([]*roundTask, 0, len(pending))
-			rest := pending[:0]
-			for _, t := range pending {
-				if t.key == key {
-					group = append(group, t)
-				} else {
-					rest = append(rest, t)
-				}
-			}
-			pending = rest
-			h.execq <- group
-		}
-		pending = nil
-	}
-	for {
-		select {
-		case t := <-h.computeq:
-			pending = append(pending, t)
-			// The window and batch cap are policy-resolved per round, so
-			// a live reconfiguration binds from the next arrival on. A
-			// window lowered to 0 keeps the pipelined stage split but
-			// dispatches every round immediately (no coalescing).
-			p := h.pol()
-			target := p.BatchMax
-			if live := h.store.liveCount(); live < target {
-				target = live
-			}
-			if target < 1 {
-				target = 1
-			}
-			if len(pending) >= target || p.BatchWindow <= 0 {
-				disarm()
-				flush()
-			} else if !armed {
-				timer.Reset(p.BatchWindow)
-				armed = true
-			}
-		case <-timer.C:
-			armed = false
-			flush()
-		case <-h.stopc:
-			return
-		}
-	}
-}
-
-func (h *computeHub) computeWorker() {
-	for {
-		select {
-		case g := <-h.execq:
-			h.sharedRounds.Add(runGroup(g))
-		case <-h.stopc:
-			return
-		}
-	}
-}
-
-// runGroup executes one coalesced batch of same-key rounds: the
-// representative's model half runs the batched forward/backward once,
-// and the result is scattered to every member whose parameters and
-// inputs are bit-identical to the representative's. The equality guard
-// runs *before* the representative's optimiser update mutates its
-// parameters; members that fail it compute solo. Returns the number of
-// rounds served by the shared computation.
+// runGroup executes one coalesced batch of same-key rounds on the
+// representative's goroutine: the representative's model half runs the
+// batched forward/backward once, and the result is scattered to every
+// member whose parameters and inputs are bit-identical to the
+// representative's. The equality guard runs *before* the
+// representative's optimiser update mutates its parameters; members
+// that fail it compute solo. Each member is woken once its result is
+// set. Returns the number of rounds served by the shared computation.
 func runGroup(g []*roundTask) (shared int64) {
 	rep := g[0]
 	for _, t := range g[1:] {
@@ -323,7 +202,6 @@ func runGroup(g []*roundTask) (shared int64) {
 		t.loss, t.cut = t.peer.computeStep(t.anchors, t.pooled)
 		t.done <- struct{}{}
 	}
-	rep.done <- struct{}{}
 	return shared
 }
 

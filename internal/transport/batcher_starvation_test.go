@@ -9,10 +9,10 @@ import (
 	"repro/internal/split"
 )
 
-// Starvation guard for the coalescing dispatcher: a continuous burst of
-// unshareable (unique-fingerprint) rounds must not delay a shareable
-// group past the batch window. The dispatcher arms its window timer
-// only when pending goes non-empty and every flush drains *all* pending
+// Starvation guard for the coalescing compute stage: a continuous burst
+// of unshareable (unique-fingerprint) rounds must not delay a shareable
+// group past the batch window. The stage arms its window timer only
+// when pending goes non-empty and every flush drains *all* pending
 // groups, so no arrival pattern can push an already-pending round out
 // indefinitely — this test pins that bound.
 
@@ -36,15 +36,16 @@ func starvationPeer(t *testing.T, seed int64) *BSPeer {
 	return p
 }
 
-// submitRound pushes one compute round for the peer and returns its
-// task; the caller waits on task.done.
-func submitRound(h *computeHub, p *BSPeer) *roundTask {
-	t := &roundTask{peer: p, done: make(chan struct{}, 1)}
-	t.anchors = p.nextAnchors()
-	t.key = batchKey{fp: p.fp, trained: p.trained}
-	h.queue.Add(1)
-	h.computeq <- t
-	return t
+// submitRound runs one compute round for the peer on its own goroutine,
+// as a session would, and returns a channel closed when it is answered.
+func submitRound(h *computeHub, p *BSPeer) <-chan struct{} {
+	done := make(chan struct{})
+	anchors := p.nextAnchors()
+	go func() {
+		defer close(done)
+		h.compute(p, anchors, nil)
+	}()
+	return done
 }
 
 func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
@@ -54,7 +55,7 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 		flooders = 6
 	)
 	store := newSessionStore(16)
-	// Fake-admit enough live sessions that the early-dispatch target
+	// Fake-admit enough live sessions that the early-flush target
 	// stays at BatchMax: a non-full pending set must wait for the
 	// window, the regime where a starvation bug would bite.
 	for i := 0; i < 2*batchMax; i++ {
@@ -64,7 +65,6 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 	}
 	pol := func() Policy { return Policy{BatchWindow: window, BatchMax: batchMax} }
 	hub := newComputeHub(pol, store)
-	defer hub.stop()
 
 	// Clone pair: same seed, same fingerprint, both trained 0 steps.
 	cloneA := starvationPeer(t, 7)
@@ -76,12 +76,8 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 	// Round 1, quiet hub: the pair must coalesce within one window and
 	// share the computation.
 	ta, tb := submitRound(hub, cloneA), submitRound(hub, cloneB)
-	<-ta.done
-	<-tb.done
-	hub.queue.Add(-2)
-	if ta.err != nil || tb.err != nil {
-		t.Fatalf("clone round failed: %v / %v", ta.err, tb.err)
-	}
+	<-ta
+	<-tb
 	if hub.sharedRounds.Load() == 0 {
 		t.Fatal("quiet-hub clone pair was not served by shared computation")
 	}
@@ -102,25 +98,19 @@ func TestBatcherMixedFingerprintNoStarvation(t *testing.T) {
 					return
 				default:
 				}
-				ft := submitRound(hub, p)
-				<-ft.done
-				hub.queue.Add(-1)
+				<-submitRound(hub, p)
 			}
 		}()
 	}
 
 	start := time.Now()
 	ta, tb = submitRound(hub, cloneA), submitRound(hub, cloneB)
-	<-ta.done
-	<-tb.done
-	hub.queue.Add(-2)
+	<-ta
+	<-tb
 	elapsed := time.Since(start)
 	close(stop)
 	flood.Wait()
 
-	if ta.err != nil || tb.err != nil {
-		t.Fatalf("clone round under flood failed: %v / %v", ta.err, tb.err)
-	}
 	// The bound is deliberately loose (compute time, race-detector
 	// overhead), but far below anything resembling starvation.
 	if limit := 20 * window; elapsed > limit {

@@ -18,10 +18,10 @@ import (
 )
 
 // Invariant 8: batching is mathematically invisible. N sessions served
-// through the pipelined/batched path produce byte-identical wire
+// concurrently with a coalescing window produce byte-identical wire
 // traffic in both directions — hence Float64bits-identical activations
 // and gradients — and bit-identical final UE model halves, compared to
-// the same sessions run one at a time through the serial path.
+// the same sessions run one at a time with no window.
 
 // recordConn tees both directions of a connection into buffers.
 type recordConn struct {
@@ -81,7 +81,7 @@ func gatedProvision(n int) Provision {
 func runBatchedSessions(t *testing.T, hellos []Hello, steps int) (map[string]sessionRun, *BSServer) {
 	t.Helper()
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: len(hellos), Sched: SchedAsync,
+		MaxUE: len(hellos),
 		Steps: steps, EvalEvery: steps / 2, ValAnchors: 8,
 		Provision:   gatedProvision(len(hellos)),
 		BatchWindow: 200 * time.Millisecond, BatchMax: len(hellos),
@@ -131,12 +131,12 @@ func runBatchedSessions(t *testing.T, hellos []Hello, steps int) (map[string]ses
 	return runs, srv
 }
 
-// runSoloSession serves one hello against a fresh serial (un-batched)
-// server — the reference execution.
+// runSoloSession serves one hello alone against a fresh server with no
+// coalescing window — the reference execution.
 func runSoloSession(t *testing.T, h Hello, steps int) sessionRun {
 	t.Helper()
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 1, Sched: SchedAsync,
+		MaxUE: 1,
 		Steps: steps, EvalEvery: steps / 2, ValAnchors: 8,
 		Provision: tinySessionEnv,
 	})
@@ -273,7 +273,7 @@ func TestBatchedMatchesSoloAcrossWorkers(t *testing.T) {
 }
 
 // TestBatcherLatencyRecorded pins the serving-latency instrumentation
-// both paths feed.
+// every served round feeds.
 func TestBatcherLatencyRecorded(t *testing.T) {
 	hellos := batchHellos(2, compress.CodecRaw)
 	_, srv := runBatchedSessions(t, hellos, 6)

@@ -234,8 +234,8 @@ type BSPeer struct {
 	lastFused   *tensor.Tensor
 	lastTargets *tensor.Tensor
 
-	// task is the peer's reusable pipeline round (see batcher.go), lazily
-	// created by computeHub.step.
+	// task is the peer's reusable compute-stage round (see batcher.go),
+	// lazily created by computeHub.compute.
 	task *roundTask
 }
 
@@ -310,19 +310,20 @@ func (b *BSPeer) RestoreState(r io.Reader) (int, error) {
 	return step, nil
 }
 
-// sendRequest writes a forward-pass request for the anchors, advancing
-// the step correlation id.
-func (b *BSPeer) sendRequest(t MsgType, anchors []int32) error {
+// requestActivations asks the UE for a forward pass over the anchors,
+// advancing the step correlation id, and validates the reply against
+// the request. The returned tensor is reader-owned scratch, valid until
+// the next read on this peer.
+func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor, error) {
 	b.step++
 	req := &Message{Type: t, Step: b.step, Anchors: anchors}
 	if err := b.fw.WriteMessage(req, b.Ver); err != nil {
-		return fmt.Errorf("transport: BS write: %w", err)
+		return nil, fmt.Errorf("transport: BS write: %w", err)
 	}
-	return nil
-}
-
-// checkActivations validates a reply against the in-flight request.
-func (b *BSPeer) checkActivations(reply *Message) (*tensor.Tensor, error) {
+	reply, err := b.fr.ReadMessage()
+	if err != nil {
+		return nil, fmt.Errorf("transport: BS read: %w", err)
+	}
 	if reply.Type != MsgActivations || reply.Tensor == nil {
 		return nil, fmt.Errorf("transport: BS expected Activations, got %v", reply.Type)
 	}
@@ -334,20 +335,6 @@ func (b *BSPeer) checkActivations(reply *Message) (*tensor.Tensor, error) {
 			reply.Codec, b.Cfg.Codec)
 	}
 	return reply.Tensor, nil
-}
-
-// requestActivations asks the UE for a forward pass over the anchors.
-// The returned tensor is reader-owned scratch, valid until the next
-// read on this peer.
-func (b *BSPeer) requestActivations(t MsgType, anchors []int32) (*tensor.Tensor, error) {
-	if err := b.sendRequest(t, anchors); err != nil {
-		return nil, err
-	}
-	reply, err := b.fr.ReadMessage()
-	if err != nil {
-		return nil, fmt.Errorf("transport: BS read: %w", err)
-	}
-	return b.checkActivations(reply)
 }
 
 // fuse builds the (B, L, D) LSTM input from received activations and the
@@ -416,11 +403,11 @@ func (b *BSPeer) nextAnchors() []int32 {
 
 // computeStep runs the local half of one training step — fuse, forward,
 // loss, backward, optimiser update, cut-gradient extraction — with no
-// I/O. It is the unit of work the cross-session batcher schedules; the
-// legacy serial path calls it inline between the activation read and
-// the gradient write, so both paths run byte-for-byte the same
-// mathematics. The returned cut gradient (nil for RF-only schemes) is
-// arena-owned and valid until the next computeStep.
+// I/O. It is the unit of work the cross-session batcher schedules;
+// TrainStep calls it inline between the activation read and the
+// gradient write, so both run byte-for-byte the same mathematics. The
+// returned cut gradient (nil for RF-only schemes) is arena-owned and
+// valid until the next computeStep.
 func (b *BSPeer) computeStep(anchors []int32, pooled *tensor.Tensor) (loss float64, cut *tensor.Tensor) {
 	b.arena.Reset()
 	nn.ZeroGrads(b.Model.Params())
@@ -449,8 +436,14 @@ func (b *BSPeer) sendCutGradient(cut *tensor.Tensor) error {
 }
 
 // TrainStep runs one distributed SGD step and returns the mini-batch loss
-// on the normalised scale.
-func (b *BSPeer) TrainStep() (float64, error) {
+// on the normalised scale, computing the BS half inline.
+func (b *BSPeer) TrainStep() (float64, error) { return b.round(b.computeStep) }
+
+// round is the body of one training round — draw the anchors, fetch the
+// UE's activations, compute, ship the cut gradient — with the BS-half
+// step delegated to compute: computeStep itself for TrainStep, the
+// server's coalescing hub for a served session.
+func (b *BSPeer) round(compute func(anchors []int32, pooled *tensor.Tensor) (float64, *tensor.Tensor)) (float64, error) {
 	anchors := b.nextAnchors()
 
 	var pooled *tensor.Tensor
@@ -461,7 +454,7 @@ func (b *BSPeer) TrainStep() (float64, error) {
 			return 0, err
 		}
 	}
-	loss, cut := b.computeStep(anchors, pooled)
+	loss, cut := compute(anchors, pooled)
 	if cut != nil {
 		if err := b.sendCutGradient(cut); err != nil {
 			return 0, err
@@ -515,8 +508,7 @@ func (b *BSPeer) ShutdownAt(step uint32) error {
 }
 
 // writeControl sends a control frame through the peer's writer in its
-// negotiated dialect — also the path the server uses for MsgCheckpoint,
-// so control frames never interleave with a staged data frame.
+// negotiated dialect — also the path the server uses for MsgCheckpoint.
 func (b *BSPeer) writeControl(m *Message) error {
 	return b.fw.WriteMessage(m, b.Ver)
 }

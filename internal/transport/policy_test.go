@@ -15,7 +15,9 @@ import (
 // boundary) and must never install an invalid policy.
 
 func TestSetPolicyValidates(t *testing.T) {
-	srv, err := NewBSServer(ServerConfig{MaxUE: 2, Provision: tinySessionEnv})
+	srv, err := NewBSServer(ServerConfig{
+		MaxUE: 2, Steps: 12, EvalEvery: 6, ValAnchors: 8, Provision: gatedProvision(2),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +39,30 @@ func TestSetPolicyValidates(t *testing.T) {
 	if srv.CurrentPolicy() != base {
 		t.Fatal("rejected policies mutated the current policy")
 	}
-	// The pipelined path is boot-only: a serial-booted server must
-	// refuse a policy that tries to switch coalescing on.
+	// Every field is live: a server booted without coalescing accepts a
+	// window, and clone sessions joining afterwards share their rounds.
 	p := base
-	p.BatchWindow = time.Millisecond
-	if err := srv.SetPolicy(p); err == nil {
-		t.Fatal("serial-booted server accepted BatchWindow > 0")
+	p.BatchWindow = 200 * time.Millisecond
+	if err := srv.SetPolicy(p); err != nil {
+		t.Fatalf("window-0 server refused BatchWindow > 0: %v", err)
+	}
+	runUEs(t, srv, batchHellos(2, compress.CodecRaw)[:2]...)
+	if srv.SharedRounds() == 0 {
+		t.Fatal("clone sessions shared no rounds after the window was switched on")
 	}
 
-	piped, err := NewBSServer(ServerConfig{
+	windowed, err := NewBSServer(ServerConfig{
 		MaxUE: 2, BatchWindow: 5 * time.Millisecond, Provision: tinySessionEnv,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer piped.Close()
+	defer windowed.Close()
 	for _, w := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond} {
-		p := piped.CurrentPolicy()
+		p := windowed.CurrentPolicy()
 		p.BatchWindow = w
-		if err := piped.SetPolicy(p); err != nil {
-			t.Fatalf("pipelined server refused window %v: %v", w, err)
+		if err := windowed.SetPolicy(p); err != nil {
+			t.Fatalf("windowed server refused window %v: %v", w, err)
 		}
 	}
 }

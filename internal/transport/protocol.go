@@ -236,9 +236,8 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	return &out, nil
 }
 
-// FrameHeader is a validated frame header, the handoff between reading
-// a frame's bytes and decoding its payload (the pipelined server runs
-// the two on different stage workers).
+// FrameHeader is a validated frame header, as FrameReader.ReadFrame
+// returns it ahead of the undecoded payload.
 type FrameHeader struct {
 	Type    MsgType
 	Version uint8

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/split"
@@ -47,10 +49,19 @@ func tinyHello(i int) Hello {
 // test on any session or UE error.
 func runMultiUE(t *testing.T, srv *BSServer, n int) {
 	t.Helper()
+	hellos := make([]Hello, n)
+	for i := range hellos {
+		hellos[i] = tinyHello(i)
+	}
+	runUEs(t, srv, hellos...)
+}
+
+// runUEs trains one UE per hello concurrently against one server.
+func runUEs(t *testing.T, srv *BSServer, hellos ...Hello) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*n)
-	for i := 0; i < n; i++ {
-		h := tinyHello(i)
+	errs := make(chan error, 2*len(hellos))
+	for _, h := range hellos {
 		cfg, d, _, err := tinySessionEnv(h)
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +123,7 @@ func checkConverged(t *testing.T, srv *BSServer, n, steps int) {
 
 func TestBSServerConcurrentSessions(t *testing.T) {
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 4, Sched: SchedAsync,
+		MaxUE: 4,
 		Steps: 60, EvalEvery: 15, ValAnchors: 24,
 		Provision: tinySessionEnv,
 	})
@@ -123,51 +134,54 @@ func TestBSServerConcurrentSessions(t *testing.T) {
 	checkConverged(t, srv, 3, 60)
 }
 
-func TestBSServerRoundRobinSessions(t *testing.T) {
-	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 4, Sched: SchedRoundRobin,
-		Steps: 30, EvalEvery: 10, ValAnchors: 24,
-		Provision: tinySessionEnv,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runMultiUE(t, srv, 3)
-	checkConverged(t, srv, 3, 30)
-}
-
-// TestBSServerSchedulingInvariance: session isolation means the policy
-// may reorder steps in time but must never change any session's
-// mathematics.
+// TestBSServerSchedulingInvariance: session isolation means concurrent
+// sessions may interleave their rounds in time — with or without
+// coalescing — but must never change any session's mathematics. Every
+// session's per-step losses and validation RMSEs match, bit for bit, the
+// same session served alone.
 func TestBSServerSchedulingInvariance(t *testing.T) {
-	run := func(p SchedPolicy) map[string][]float64 {
+	const n = 3
+	serve := func(window time.Duration, hellos ...Hello) map[string][2][]float64 {
 		srv, err := NewBSServer(ServerConfig{
-			MaxUE: 4, Sched: p,
-			Steps: 20, EvalEvery: 10, ValAnchors: 24,
-			Provision: tinySessionEnv,
+			MaxUE: n, Steps: 20, EvalEvery: 10, ValAnchors: 24,
+			Provision: tinySessionEnv, BatchWindow: window,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runMultiUE(t, srv, 3)
-		out := make(map[string][]float64)
+		runUEs(t, srv, hellos...)
+		out := make(map[string][2][]float64)
 		for _, s := range srv.Sessions() {
-			out[s.ID] = s.Metrics.ValRMSE.Values
+			out[s.ID] = [2][]float64{s.Metrics.Loss.Values, s.Metrics.ValRMSE.Values}
 		}
 		return out
 	}
-	async, rr := run(SchedAsync), run(SchedRoundRobin)
-	if len(async) != 3 || len(rr) != 3 {
-		t.Fatalf("session counts: %d async, %d rr", len(async), len(rr))
-	}
-	for id, a := range async {
-		r := rr[id]
-		if len(a) != len(r) || len(a) == 0 {
-			t.Fatalf("session %s eval counts differ: %v vs %v", id, a, r)
+	alone := make(map[string][2][]float64)
+	hellos := make([]Hello, n)
+	for i := range hellos {
+		hellos[i] = tinyHello(i)
+		for id, v := range serve(0, hellos[i]) {
+			alone[id] = v
 		}
-		for i := range a {
-			if a[i] != r[i] {
-				t.Fatalf("session %s eval %d differs between policies: %g vs %g", id, i, a[i], r[i])
+	}
+	for _, window := range []time.Duration{0, 2 * time.Millisecond} {
+		together := serve(window, hellos...)
+		if len(together) != n || len(alone) != n {
+			t.Fatalf("window %v: session counts: %d together, %d alone", window, len(together), len(alone))
+		}
+		for id, want := range alone {
+			got := together[id]
+			for k, name := range []string{"loss", "val RMSE"} {
+				a, b := got[k], want[k]
+				if len(a) != len(b) || len(a) == 0 {
+					t.Fatalf("window %v: session %s %s counts differ: %v vs %v", window, id, name, a, b)
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("window %v: session %s %s %d differs served together vs alone: %g vs %g",
+							window, id, name, i, a[i], b[i])
+					}
+				}
 			}
 		}
 	}
@@ -175,7 +189,7 @@ func TestBSServerSchedulingInvariance(t *testing.T) {
 
 func TestBSServerOverTCP(t *testing.T) {
 	srv, err := NewBSServer(ServerConfig{
-		MaxUE: 2, Sched: SchedAsync,
+		MaxUE: 2,
 		Steps: 20, EvalEvery: 10, ValAnchors: 16,
 		Provision: tinySessionEnv,
 	})
@@ -406,57 +420,5 @@ func TestBSServerPerSessionTarget(t *testing.T) {
 				t.Errorf("ue-1 should exhaust its steps: %+v", s)
 			}
 		}
-	}
-}
-
-// TestRRSchedulerRotation drives the round-robin scheduler directly and
-// checks strict rotation among pre-joined slots.
-func TestRRSchedulerRotation(t *testing.T) {
-	r := newRRSched()
-	const slots, rounds = 3, 5
-	ids := make([]int, slots)
-	for i := range ids {
-		ids[i] = r.join()
-	}
-	var mu sync.Mutex
-	var log []int
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for k := 0; k < rounds; k++ {
-				r.begin(slot)
-				mu.Lock()
-				log = append(log, slot)
-				mu.Unlock()
-				r.done(slot)
-			}
-			r.leave(slot)
-		}(id)
-	}
-	wg.Wait()
-	if len(log) != slots*rounds {
-		t.Fatalf("logged %d turns, want %d", len(log), slots*rounds)
-	}
-	for i := 0; i < slots*rounds; i++ {
-		if log[i] != ids[i%slots] {
-			t.Fatalf("turn %d went to slot %d, want %d (log %v)", i, log[i], ids[i%slots], log)
-		}
-	}
-}
-
-func TestParseSchedPolicy(t *testing.T) {
-	for in, want := range map[string]SchedPolicy{
-		"async": SchedAsync, "parallel": SchedAsync,
-		"rr": SchedRoundRobin, "round-robin": SchedRoundRobin,
-	} {
-		got, err := ParseSchedPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSchedPolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseSchedPolicy("fifo"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
